@@ -2,6 +2,7 @@ package care_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -16,8 +17,8 @@ func TestPublicAPISmoke(t *testing.T) {
 		t.Fatal("5 GAP kernels over 3 datasets expected")
 	}
 	found := map[string]bool{}
-	for _, p := range care.Policies() {
-		found[p] = true
+	for _, p := range care.AllPolicies() {
+		found[p.String()] = true
 	}
 	for _, want := range []string{"lru", "ship++", "hawkeye", "glider", "mockingjay", "sbar", "care", "m-care", "lacs", "rlr", "eaf", "pacman"} {
 		if !found[want] {
@@ -54,7 +55,7 @@ func TestPublicSimulation(t *testing.T) {
 	traces := []care.TraceReader{care.MustSPECTrace("429.mcf", 1, 32)}
 	cfg := care.ScaledConfig(1, 32)
 	cfg.LLCPolicy = "care"
-	r, err := care.RunSimulation(cfg, traces, 2_000, 15_000)
+	r, err := care.Run(context.Background(), cfg, traces, care.RunOpts{Warmup: 2_000, Measure: 15_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,6 +192,50 @@ func TestStoresDoNotBlockRetirement(t *testing.T) {
 	}
 }
 
+// TestRetireWidthBound pins the retire-width contract: no Tick retires
+// more than IssueWidth instructions. The hazardous ROB shape is a head
+// load followed by a batch of IssueWidth-1 non-memory instructions and
+// an already-completed store. When the load completes, retiring it and
+// the batch uses exactly the budget; the store must then wait for the
+// next cycle instead of slipping in as instruction IssueWidth+1.
+func TestRetireWidthBound(t *testing.T) {
+	p := DefaultParams()
+	recs := []trace.Record{
+		{PC: 1, Addr: 0x1000},
+		{PC: 2, Addr: 0x2000, NonMem: uint16(p.IssueWidth - 1), IsWrite: true},
+	}
+	m := &instantMem{lat: 20}
+	c := New(0, p, trace.NewSlice(recs), m)
+	var perTick []uint64
+	for cy := uint64(0); cy < 1000 && !c.Exhausted(); cy++ {
+		before := c.Retired()
+		c.Tick(cy)
+		m.Tick(cy)
+		perTick = append(perTick, c.Retired()-before)
+	}
+	if !c.Exhausted() {
+		t.Fatal("core did not drain")
+	}
+	if want := uint64(p.IssueWidth + 1); c.Retired() != want {
+		t.Fatalf("retired %d, want %d", c.Retired(), want)
+	}
+	full := 0
+	for cy, n := range perTick {
+		if n > uint64(p.IssueWidth) {
+			t.Fatalf("cycle %d retired %d instructions, IssueWidth is %d (per-tick %v)",
+				cy, n, p.IssueWidth, perTick)
+		}
+		if n == uint64(p.IssueWidth) {
+			full++
+		}
+	}
+	if full != 1 {
+		// The load plus the batch fill exactly one cycle; if not, the
+		// trace no longer builds the shape this test is about.
+		t.Fatalf("%d full-width cycles, want 1 (per-tick %v)", full, perTick)
+	}
+}
+
 func TestResetStats(t *testing.T) {
 	recs := []trace.Record{{PC: 1, Addr: 0x1000, NonMem: 3}}
 	m := &instantMem{lat: 1}

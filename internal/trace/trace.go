@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"care/internal/mem"
 )
@@ -72,23 +71,6 @@ type Resetter interface {
 	Reset()
 }
 
-// Bounded is implemented by readers that can promise future progress:
-// RemainingRecords returns an n such that the next n calls to Next
-// are guaranteed to succeed (no EOF, no error), plus whether any such
-// bound is known. Unbounded streams (loops over non-empty sources,
-// synthetic generators) return (math.MaxUint64, true).
-//
-// The bound must never overestimate: the parallel simulation engine
-// sizes its epochs with it, and an optimistic answer would let lanes
-// tick past the cycle at which a core's stream actually ended,
-// breaking byte-identity with the sequential loop. Readers that
-// cannot promise anything simply do not implement the interface (or
-// return false), which degrades the engine to single-cycle epochs
-// rather than to wrong answers.
-type Bounded interface {
-	RemainingRecords() (uint64, bool)
-}
-
 // Slice is an in-memory trace. It implements Reader and Resetter.
 type Slice struct {
 	Records []Record
@@ -122,11 +104,6 @@ func (s *Slice) Next() (Record, error) {
 
 // Reset implements Resetter.
 func (s *Slice) Reset() { s.pos = 0 }
-
-// RemainingRecords implements Bounded: exactly the unread suffix.
-func (s *Slice) RemainingRecords() (uint64, bool) {
-	return uint64(len(s.Records) - s.pos), true
-}
 
 // Len returns the number of records.
 func (s *Slice) Len() int { return len(s.Records) }
@@ -179,22 +156,6 @@ func (l *Looping) Next() (Record, error) {
 func (l *Looping) Reset() {
 	l.src.(Resetter).Reset()
 	l.Wraps = 0
-}
-
-// RemainingRecords implements Bounded: a loop over a provably
-// non-empty source never ends. An exhausted bounded source still
-// loops forever as long as the full trace is non-empty, which Len
-// establishes; otherwise no promise is made.
-func (l *Looping) RemainingRecords() (uint64, bool) {
-	if b, ok := l.src.(Bounded); ok {
-		if n, known := b.RemainingRecords(); known && n > 0 {
-			return math.MaxUint64, true
-		}
-	}
-	if s, ok := l.src.(interface{ Len() int }); ok && s.Len() > 0 {
-		return math.MaxUint64, true
-	}
-	return 0, false
 }
 
 // Generator adapts a pure function to the Reader interface. Generators
@@ -317,15 +278,6 @@ func (o *OffsetReader) Next() (Record, error) {
 
 // Reset implements Resetter when the source supports it.
 func (o *OffsetReader) Reset() { o.src.(Resetter).Reset() }
-
-// RemainingRecords implements Bounded when the source does: shifting
-// addresses never changes how many records succeed.
-func (o *OffsetReader) RemainingRecords() (uint64, bool) {
-	if b, ok := o.src.(Bounded); ok {
-		return b.RemainingRecords()
-	}
-	return 0, false
-}
 
 // FileReader streams records from a binary trace without
 // materialising them, for traces too large to hold in memory. It
